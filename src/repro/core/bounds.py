@@ -10,15 +10,15 @@ bounds are silent.
 from __future__ import annotations
 
 import itertools
+import operator
+from collections import Counter
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from ..graphs.cliques import max_weight_clique
 from ..graphs.graph import Graph
 from .boxes import PackingInstance
-from .dff import default_family
-
-ONE = Fraction(1)
+from .dff import default_family, scaled_images
 
 
 def oversized_box_bound(instance: PackingInstance) -> Optional[str]:
@@ -56,14 +56,8 @@ def dff_volume_bound(
     time, which is where the power of the family lives).
     """
     d = instance.dimensions
-    normalized = [
-        [
-            Fraction(box.widths[axis], instance.container.sizes[axis])
-            for box in instance.boxes
-        ]
-        for axis in range(d)
-    ]
-    families = [default_family(normalized[axis]) for axis in range(d)]
+    shapes = Counter(box.widths for box in instance.boxes)
+    families, tables = _dff_tables(instance, list(shapes), range(d))
     identity_index = 0
 
     combos = []
@@ -79,25 +73,75 @@ def dff_volume_bound(
             combo = [identity_index] * d
             combo[axis] = fa
             combos.append(tuple(combo))
+    overflow = _first_overflow(
+        tables, list(shapes.values()), combos[:max_combinations]
+    )
+    if overflow is None:
+        return None
+    combo, total = overflow
+    names = [families[axis][combo[axis]].__name__ for axis in range(d)]
+    return (
+        f"DFF volume bound exceeded: combination {names} gives "
+        f"transformed volume {total} > 1"
+    )
+
+
+def _dff_tables(
+    instance: PackingInstance, shapes: List[Tuple[int, ...]], axes
+) -> Tuple[list, list]:
+    """The DFF family of each axis in ``axes`` over the normalized widths of
+    ``shapes``, and each member's :func:`scaled_images` of those widths."""
+    families, tables = [], []
+    for axis in axes:
+        size = instance.container.sizes[axis]
+        normalized = [Fraction(shape[axis], size) for shape in shapes]
+        family = default_family(normalized)
+        families.append(family)
+        tables.append([scaled_images(f, normalized) for f in family])
+    return families, tables
+
+
+def _first_overflow(
+    tables: list, counts: List[int], combos: List[Tuple[int, ...]]
+) -> Optional[Tuple[Tuple[int, ...], Fraction]]:
+    """The first combination whose transformed volume exceeds 1, with that
+    volume; ``None`` if none does.
+
+    ``tables[slot][member]`` is a member's ``(numerators, denominator)`` over
+    the distinct box shapes, and ``counts[i]`` is how many boxes have shape
+    ``i``.  A combination picks one member per slot; its volume is
+    ``Σ_i counts[i] · Π_slot num[i] / Π_slot den``, compared in integers.
+    The product of all slots but one (the last non-identity slot) is cached,
+    so most combinations cost one dot product.  A combination whose tables
+    all equal those of an earlier one has the same volume, so it is skipped
+    without changing which combination fires first.
+    """
+    first_equal = []
+    for slot in tables:
+        first: dict = {}
+        first_equal.append([first.setdefault(t, m) for m, t in enumerate(slot)])
     seen = set()
-    for combo in combos[:max_combinations]:
-        if combo in seen:
+    rests: dict = {}
+    for combo in combos:
+        key = tuple(map(list.__getitem__, first_equal, combo))
+        if key in seen:
             continue
-        seen.add(combo)
-        total = Fraction(0)
-        for b in range(instance.n):
-            term = ONE
-            for axis in range(d):
-                term *= families[axis][combo[axis]](normalized[axis][b])
-                if term == 0:
-                    break
-            total += term
-        if total > ONE:
-            names = [families[axis][combo[axis]].__name__ for axis in range(d)]
-            return (
-                f"DFF volume bound exceeded: combination {names} gives "
-                f"transformed volume {total} > 1"
-            )
+        seen.add(key)
+        free = max((s for s, m in enumerate(combo) if m), default=len(combo) - 1)
+        rest_key = (free, key[:free] + key[free + 1:])
+        rest = rests.get(rest_key)
+        if rest is None:
+            nums, den = counts, 1
+            for slot, m in enumerate(combo):
+                if slot != free:
+                    nums = list(map(operator.mul, nums, tables[slot][m][0]))
+                    den *= tables[slot][m][1]
+            rest = rests[rest_key] = (nums, den)
+        nums, den = tables[free][combo[free]]
+        total = sum(map(operator.mul, rest[0], nums))
+        den *= rest[1]
+        if total > den:
+            return combo, Fraction(total, den)
     return None
 
 
@@ -131,16 +175,7 @@ def spatial_conflict_bound(instance: PackingInstance) -> Optional[str]:
     spatial_axes = [a for a in range(instance.dimensions) if a != time_axis]
     if not spatial_axes:
         return None
-    g = Graph(instance.n)
-    for u in range(instance.n):
-        for v in range(u + 1, instance.n):
-            exclusive = all(
-                instance.boxes[u].widths[a] + instance.boxes[v].widths[a]
-                > instance.container.sizes[a]
-                for a in spatial_axes
-            )
-            if exclusive:
-                g.add_edge(u, v)
+    g = _spatial_conflict_graph(instance)
     durations = instance.widths_along(time_axis)
     weight, clique = max_weight_clique(g, durations)
     limit = instance.container.sizes[time_axis]
@@ -267,7 +302,7 @@ def mandatory_overlap_bound(instance: PackingInstance) -> Optional[str]:
     capacity = 1
     for a in spatial_axes:
         capacity *= instance.container.sizes[a]
-    for t, _, _ in mandatory:
+    for t in dict.fromkeys(lst for lst, _, _ in mandatory):
         live = [v for lst, eft, v in mandatory if lst <= t < eft]
         if len(live) < 2:
             continue
@@ -299,28 +334,18 @@ def _spatial_dff_overflow(
     instance: PackingInstance, live: List[int], spatial_axes: List[int]
 ) -> Optional[str]:
     """2-D DFF volume argument over a set of simultaneously live boxes."""
-    normalized = {
-        axis: [
-            Fraction(instance.boxes[v].widths[axis], instance.container.sizes[axis])
-            for v in live
-        ]
-        for axis in spatial_axes
-    }
-    families = {
-        axis: default_family(normalized[axis]) for axis in spatial_axes
-    }
     ax0, ax1 = spatial_axes[0], spatial_axes[-1]
-    for f in families[ax0]:
-        for g in families[ax1]:
-            total = Fraction(0)
-            for i, _v in enumerate(live):
-                total += f(normalized[ax0][i]) * g(normalized[ax1][i])
-            if total > ONE:
-                return (
-                    f"2-D DFF bound ({f.__name__}, {g.__name__}) gives "
-                    f"transformed area {total} > 1"
-                )
-    return None
+    shapes = Counter(instance.boxes[v].widths for v in live)
+    families, tables = _dff_tables(instance, list(shapes), (ax0, ax1))
+    combos = list(itertools.product(*(range(len(f)) for f in families)))
+    overflow = _first_overflow(tables, list(shapes.values()), combos)
+    if overflow is None:
+        return None
+    (f, g), total = overflow
+    return (
+        f"2-D DFF bound ({families[0][f].__name__}, {families[1][g].__name__}) "
+        f"gives transformed area {total} > 1"
+    )
 
 
 ALL_BOUNDS = [
@@ -383,16 +408,9 @@ def makespan_lower_bound(instance: PackingInstance) -> int:
     if instance.precedence is not None:
         durations = [float(w) for w in instance.widths_along(time_axis)]
         bounds.append(int(instance.precedence.critical_path_length(durations)))
-    # Sequential cliques.
-    g = Graph(instance.n)
-    for u in range(instance.n):
-        for v in range(u + 1, instance.n):
-            if all(
-                instance.boxes[u].widths[a] + instance.boxes[v].widths[a]
-                > instance.container.sizes[a]
-                for a in spatial_axes
-            ):
-                g.add_edge(u, v)
+    # Sequential cliques.  Without spatial axes the conflict graph is
+    # empty, but then the volume term above is already the total duration.
+    g = _spatial_conflict_graph(instance)
     weight, _ = max_weight_clique(g, instance.widths_along(time_axis))
     bounds.append(int(weight))
     return max(bounds)

@@ -11,14 +11,24 @@ if the boxes fit the container, then for any DFFs ``f_1, …, f_d``
 Any combination exceeding 1 *disproves* the packing without any search —
 stage 1 of the paper's three-stage framework.
 
-All arithmetic is exact (:class:`fractions.Fraction`); widths and container
-sizes are integers, so no rounding can make a bound unsound.
+The callables below are the only definition of each DFF; they map
+:class:`fractions.Fraction` to ``Fraction``, and widths and container sizes
+are integers.  The bounds never sum those fractions box by box.  They
+evaluate each member once per distinct box shape, and
+:func:`scaled_images` scales the images to integer numerators over their
+least common denominator.  A combination's transformed volume is then an integer dot product over a
+product of denominators, and "exceeds 1" is the integer comparison
+``numerator > denominator``.  Scaling by a common denominator is an exact
+identity on rationals, so the verdicts — and the reduced ``Fraction`` a
+certificate prints — equal those of plain ``Fraction`` arithmetic, and no
+rounding can make a bound unsound.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Callable, List, Sequence
+from typing import Callable, List, Sequence, Tuple
 
 DFF = Callable[[Fraction], Fraction]
 
@@ -125,6 +135,17 @@ def default_family(normalized_widths: Sequence[Fraction]) -> List[DFF]:
         family.append(compose(u1, threshold))
         family.append(compose(u2, threshold))
     return family
+
+
+def scaled_images(
+    f: DFF, xs: Sequence[Fraction]
+) -> Tuple[Tuple[int, ...], int]:
+    """``f``'s images of ``xs`` as ``(numerators, denominator)``: integers
+    over the least common denominator of the images, so that
+    ``f(xs[i]) == Fraction(numerators[i], denominator)``."""
+    images = [f(x) for x in xs]
+    den = math.lcm(*(image.denominator for image in images))
+    return tuple(image.numerator * (den // image.denominator) for image in images), den
 
 
 def is_dual_feasible_on_samples(f: DFF, denominator: int = 24) -> bool:

@@ -3,7 +3,9 @@ the paper, the common result protocol, the deprecation shims for old
 positional signatures, and the public-API snapshot pinning ``repro.__all__``.
 """
 
+import re
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -323,6 +325,15 @@ class TestPublicApiSnapshot:
             "telemetry",
             "__version__",
         ]
+
+    def test_version_matches_pyproject(self):
+        # A regex, not tomllib: the supported Pythons include 3.9.
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        match = re.search(
+            r'^version\s*=\s*"([^"]+)"', pyproject.read_text(), re.MULTILINE
+        )
+        assert match is not None
+        assert match.group(1) == repro.__version__
 
     def test_all_names_resolve(self):
         for name in repro.__all__:
