@@ -216,10 +216,11 @@ def solve_opp(
     exits additionally record the reason in ``stats.limit``.
 
     ``cache`` is any object with the :class:`repro.parallel.cache.ResultCache`
-    interface (``get(instance)`` / ``put(instance, result)``): conclusive
-    verdicts are reused across calls, keyed by the *canonical* instance form,
-    so the monotone container sweeps of BMP/SPP and repeated queries hit
-    instead of re-solving.
+    interface (``label(instance, deadline)`` / ``get(instance, label)`` /
+    ``put(instance, result, label)``): conclusive verdicts are reused across
+    calls, keyed by the *canonical* instance form (labeled once per call,
+    under ``options.deadline``), so the monotone container sweeps of BMP/SPP
+    and repeated queries hit instead of re-solving.
 
     ``resume_from`` continues an interrupted branch-and-bound from its
     checkpoint (the bounds/heuristic stages already ran before the original
@@ -239,13 +240,15 @@ def solve_opp(
         # already stamped its own share; the total is what callers bill).
         result.stats.elapsed = time.monotonic() - start
         if cache is not None and result.status in (SAT, UNSAT):
-            cache.put(instance, result)
+            cache.put(instance, result, label=label)
         if telemetry.enabled:
             result.trace = telemetry
         return result
 
+    label = None
     if cache is not None:
-        hit = cache.get(instance)
+        label = cache.label(instance, deadline=options.deadline)
+        hit = cache.get(instance, label=label)
         if hit is not None:
             hit.stats.elapsed = time.monotonic() - start
             if telemetry.enabled:

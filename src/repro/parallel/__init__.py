@@ -15,7 +15,13 @@
   chaos test suite.
 """
 
-from .cache import CacheStats, ResultCache, cache_key, canonical_form
+from .cache import (
+    CacheStats,
+    CanonicalLabel,
+    ResultCache,
+    cache_key,
+    canonical_form,
+)
 from .faults import (
     NO_FAULTS,
     FaultPlan,
@@ -34,6 +40,7 @@ from .portfolio import (
 
 __all__ = [
     "CacheStats",
+    "CanonicalLabel",
     "ResultCache",
     "cache_key",
     "canonical_form",

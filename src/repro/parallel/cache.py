@@ -19,6 +19,19 @@ does not require byte-identical input:
   closed DAG constrain the packing identically) and relabeled accordingly;
 * the time axis index is normalized modulo the dimension count.
 
+The individualization search prunes with the automorphisms it finds
+(McKay & Piperno, *Practical graph isomorphism II*, 2014): two leaves with
+equal encodings differ by an automorphism, and a branch in the same orbit as
+an explored sibling, under the automorphisms that fix the current path, is
+skipped.  It keeps the same leaf as the exhaustive search, so keys do not
+change.  The search is bounded by :data:`CANON_NODE_BUDGET` nodes and by the
+caller's :class:`~repro.core.deadline.Deadline`; past either it falls back to
+the *input-order* form.  That key is exact (the form encodes the whole
+instance) but is not shared between isomorphic presentations; fallbacks are
+counted in ``CacheStats.canon_fallbacks`` and the ``cache.canon_fallback``
+metric.  :meth:`ResultCache.label` computes the labeling once per solve and
+``get``/``put`` take it, so a lookup and its store share one search.
+
 SAT entries store the witness placement in canonical label space; a hit maps
 it back through the query's own labeling and re-validates it geometrically
 before returning, so a corrupted store can never produce a wrong answer.
@@ -33,9 +46,10 @@ import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.boxes import PackingInstance, Placement
+from ..core.deadline import Deadline
 from ..core.opp import SAT, UNSAT, OPPResult
 
 _log = logging.getLogger(__name__)
@@ -44,6 +58,10 @@ _log = logging.getLogger(__name__)
 # ---------------------------------------------------------------------------
 # Canonical labeling
 # ---------------------------------------------------------------------------
+
+#: Individualization-refinement nodes one canonical labeling may visit
+#: before it falls back to the input-order form.
+CANON_NODE_BUDGET = 4096
 
 
 def _refine(
@@ -73,7 +91,14 @@ def _refine(
         colors = refined
 
 
-def _canonical_order(instance: PackingInstance) -> List[int]:
+class _LabelingAborted(Exception):
+    """The labeling search ran past :data:`CANON_NODE_BUDGET` or the
+    caller's deadline."""
+
+
+def _canonical_order(
+    instance: PackingInstance, deadline: Optional[Deadline] = None
+) -> List[int]:
     """A canonical permutation of the box indices: position ``i`` of the
     canonical form holds original box ``order[i]``.
 
@@ -82,6 +107,14 @@ def _canonical_order(instance: PackingInstance) -> List[int]:
     touch precedence arcs are resolved by individualization-refinement,
     keeping the lexicographically smallest arc encoding.  The result is
     invariant under permuting boxes and renaming them.
+
+    Two leaves with equal encodings differ by an automorphism of the closed
+    DAG with its widths, so the search stores it; a child in the same orbit
+    as an explored sibling, under the stored automorphisms that fix the
+    individualized path, leads to the same encodings and is skipped.  The
+    kept leaf is the one the exhaustive search keeps.  Raises
+    :class:`_LabelingAborted` past :data:`CANON_NODE_BUDGET` search nodes or
+    once ``deadline`` leaves no solver budget.
     """
     n = instance.n
     if n == 0:
@@ -98,6 +131,9 @@ def _canonical_order(instance: PackingInstance) -> List[int]:
     initial = [width_rank[widths[v]] for v in range(n)]
 
     best: Optional[Tuple[Tuple[Tuple[int, int], ...], List[int]]] = None
+    # Each automorphism as an image list: vertex v maps to perm[v].
+    automorphisms: List[List[int]] = []
+    nodes = 0
 
     def order_from_colors(colors: List[int]) -> List[int]:
         # Within a color class the vertices are indistinguishable to the
@@ -111,8 +147,27 @@ def _canonical_order(instance: PackingInstance) -> List[int]:
             sorted((position[u], position[v]) for u in range(n) for v in succ[u])
         )
 
-    def search(colors: List[int]) -> None:
-        nonlocal best
+    def orbit(v: int, path: List[int]) -> Set[int]:
+        generators = [
+            g for g in automorphisms if all(g[p] == p for p in path)
+        ]
+        seen = {v}
+        frontier = [v]
+        while frontier:
+            u = frontier.pop()
+            for g in generators:
+                if g[u] not in seen:
+                    seen.add(g[u])
+                    frontier.append(g[u])
+        return seen
+
+    def search(colors: List[int], path: List[int]) -> None:
+        nonlocal best, nodes
+        nodes += 1
+        if nodes > CANON_NODE_BUDGET or (
+            deadline is not None and deadline.solver_budget() <= 0
+        ):
+            raise _LabelingAborted
         colors = _refine(colors, succ, pred)
         classes: Dict[int, List[int]] = {}
         for v in range(n):
@@ -137,25 +192,67 @@ def _canonical_order(instance: PackingInstance) -> List[int]:
             break
         if target is None:
             order = order_from_colors(colors)
-            candidate = (encode(order), order)
-            if best is None or candidate[0] < best[0]:
-                best = candidate
+            code = encode(order)
+            if best is None or code < best[0]:
+                best = (code, order)
+            elif code == best[0] and order != best[1]:
+                perm = list(range(n))
+                for u, w in zip(order, best[1]):
+                    perm[u] = w
+                automorphisms.append(perm)
             return
         fresh = max(colors) + 1
+        explored: List[int] = []
         for v in target:
-            search([fresh if u == v else c for u, c in enumerate(colors)])
+            if explored and not orbit(v, path).isdisjoint(explored):
+                continue
+            explored.append(v)
+            search(
+                [fresh if u == v else c for u, c in enumerate(colors)],
+                path + [v],
+            )
 
-    search(initial)
+    search(initial, [])
     assert best is not None
     return best[1]
 
 
+@dataclass(frozen=True)
+class CanonicalLabel:
+    """One instance's cache labeling: its ``key`` and the box ``order`` that
+    maps it to the keyed form.  ``canonical`` is false for the input-order
+    fallback, whose key is exact but not shared with isomorphic inputs.
+
+    Computed once per solve by :meth:`ResultCache.label` and passed to
+    ``get``/``put``; a label is only valid for the instance it came from."""
+
+    key: str
+    order: Tuple[int, ...]
+    canonical: bool
+
+
+def canonical_label(
+    instance: PackingInstance, deadline: Optional[Deadline] = None
+) -> CanonicalLabel:
+    """The canonical labeling of an instance, or — past the node budget or
+    ``deadline`` — the input-order fallback."""
+    try:
+        order, canonical = _canonical_order(instance, deadline), True
+    except _LabelingAborted:
+        order, canonical = list(range(instance.n)), False
+    return CanonicalLabel(
+        key=_key_of_form(canonical_form(instance, order)),
+        order=tuple(order),
+        canonical=canonical,
+    )
+
+
 def canonical_form(
-    instance: PackingInstance, order: Optional[List[int]] = None
+    instance: PackingInstance, order: Optional[Sequence[int]] = None
 ) -> Dict[str, Any]:
     """The canonical plain-dict encoding of an instance (see module doc)."""
     if order is None:
-        order = _canonical_order(instance)
+        order = canonical_label(instance).order
     position = {v: i for i, v in enumerate(order)}
     closure = instance.closed_precedence()
     arcs: List[List[int]] = []
@@ -176,7 +273,7 @@ def _key_of_form(form: Dict[str, Any]) -> str:
 
 def cache_key(instance: PackingInstance) -> str:
     """A collision-resistant hex key for the canonical form."""
-    return _key_of_form(canonical_form(instance))
+    return canonical_label(instance).key
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +288,7 @@ class CacheStats:
     stores: int = 0
     evictions: int = 0
     quarantined: int = 0
+    canon_fallbacks: int = 0
 
     @property
     def hit_rate(self) -> float:
@@ -252,7 +350,8 @@ class ResultCache:
 
     def instrument(self, telemetry: Any) -> "ResultCache":
         """Mirror this cache's lifecycle counters (stores, evictions,
-        quarantines) into a :class:`repro.telemetry.Telemetry` registry.
+        quarantines, canonical-labeling fallbacks) into a
+        :class:`repro.telemetry.Telemetry` registry.
 
         Hit/miss counts are deliberately *not* mirrored here: the lookup
         sites (``solve_opp``, the portfolio) count them against their own
@@ -265,44 +364,60 @@ class ResultCache:
         if self._telemetry is not None:
             self._telemetry.counter(metric).add()
 
-    def key(self, instance: PackingInstance) -> str:
-        return cache_key(instance)
-
     # -- lookup ------------------------------------------------------------
 
-    def key(self, instance: PackingInstance) -> str:
-        """The canonical cache key of an instance — identical for any two
-        isomorphism-equivalent instances.  Exposed so callers (the service's
-        single-flight dedup) can coordinate on canonical identity without
-        touching cache internals."""
-        return self._key_for_order(instance, _canonical_order(instance))
+    def label(
+        self, instance: PackingInstance, deadline: Optional[Deadline] = None
+    ) -> CanonicalLabel:
+        """The instance's :class:`CanonicalLabel`, to compute once per solve
+        and pass to :meth:`get` and :meth:`put`.  Its key is identical for
+        any two isomorphism-equivalent instances unless the labeling fell
+        back to the input order (node budget or ``deadline`` exhausted);
+        fallbacks are counted in ``stats.canon_fallbacks``."""
+        label = canonical_label(instance, deadline)
+        if not label.canonical:
+            with self._lock:
+                self.stats.canon_fallbacks += 1
+            self._count("cache.canon_fallback")
+        return label
 
-    def get(self, instance: PackingInstance) -> Optional[OPPResult]:
-        order = _canonical_order(instance)
-        key = self._key_for_order(instance, order)
+    def key(self, instance: PackingInstance) -> str:
+        """The cache key of an instance (``label(instance).key``)."""
+        return self.label(instance).key
+
+    def get(
+        self, instance: PackingInstance, label: Optional[CanonicalLabel] = None
+    ) -> Optional[OPPResult]:
+        if label is None:
+            label = self.label(instance)
         with self._lock:
-            entry = self._load(key)
+            entry = self._load(label.key)
             if entry is None:
                 self.stats.misses += 1
                 return None
-            result = self._decode(instance, order, entry)
+            result = self._decode(instance, label.order, entry)
             if result is None:
                 # A mapped-back witness that fails validation means the store
                 # is corrupt (or the canonical form logic regressed); drop the
                 # entry rather than serve it.
-                self._drop(key)
+                self._drop(label.key)
                 self.stats.misses += 1
                 return None
             self.stats.hits += 1
             return result
 
-    def put(self, instance: PackingInstance, result: OPPResult) -> None:
+    def put(
+        self,
+        instance: PackingInstance,
+        result: OPPResult,
+        label: Optional[CanonicalLabel] = None,
+    ) -> None:
         if result.status not in (SAT, UNSAT):
             return  # inconclusive outcomes depend on budgets; never cache
         if result.status == SAT and result.placement is None:
             return
-        order = _canonical_order(instance)
-        key = self._key_for_order(instance, order)
+        if label is None:
+            label = self.label(instance)
         entry: Dict[str, Any] = {
             "status": result.status,
             "certificate": result.certificate,
@@ -310,22 +425,20 @@ class ResultCache:
         }
         if result.status == SAT:
             entry["positions"] = [
-                list(result.placement.positions[v]) for v in order
+                list(result.placement.positions[v]) for v in label.order
             ]
         with self._lock:
-            self._store(key, entry)
+            self._store(label.key, entry)
             self.stats.stores += 1
         self._count("cache.stores")
 
     # -- internals ---------------------------------------------------------
 
-    def _key_for_order(
-        self, instance: PackingInstance, order: List[int]
-    ) -> str:
-        return _key_of_form(canonical_form(instance, order))
-
     def _decode(
-        self, instance: PackingInstance, order: List[int], entry: Dict[str, Any]
+        self,
+        instance: PackingInstance,
+        order: Sequence[int],
+        entry: Dict[str, Any],
     ) -> Optional[OPPResult]:
         if entry["status"] == UNSAT:
             return OPPResult(

@@ -336,8 +336,10 @@ class PortfolioSolver:
                 result.trace = telemetry
             return result
 
+        label = None
         if self.cache is not None:
-            hit = self.cache.get(instance)
+            label = self.cache.label(instance, deadline=deadline)
+            hit = self.cache.get(instance, label=label)
             if hit is not None:
                 if telemetry.enabled:
                     telemetry.counter("cache.hits").add()
@@ -437,7 +439,7 @@ class PortfolioSolver:
             # stopped the race; report it so callers degrade, not retry.
             result.stats.limit = DEADLINE_LIMIT
         if self.cache is not None and result.status in (SAT, UNSAT):
-            self.cache.put(instance, result.to_opp_result())
+            self.cache.put(instance, result.to_opp_result(), label=label)
         return finish(result)
 
     # -- merging -----------------------------------------------------------

@@ -56,7 +56,7 @@ from ..core.deadline import DEADLINE_LIMIT, DEFAULT_MARGIN, Deadline
 from ..core.nogoods import LearningOptions
 from ..core.opp import UNKNOWN, OPPResult, SolverOptions, solve_opp
 from ..io.journal import JOURNAL_NAME, read_journal
-from ..parallel.cache import ResultCache
+from ..parallel.cache import CanonicalLabel, ResultCache
 from ..runtime.batch import BatchRunner
 from ..telemetry import Telemetry
 from .admission import AdmissionController, AdmissionError
@@ -589,9 +589,9 @@ class SolverService:
         self, job: Job, deadline: Optional[Deadline] = None
     ) -> Tuple[Dict[str, Any], int]:
         request = SolveRequest.from_dict(job.request)
-        key = self.cache.key(request.instance)
+        label = self.cache.label(request.instance, deadline=deadline)
         while True:
-            cached = self.cache.get(request.instance)
+            cached = self.cache.get(request.instance, label=label)
             if cached is not None:
                 # The shared memo answered: identical-up-to-isomorphism
                 # instances — from any tenant — cost one solve, ever.
@@ -603,9 +603,9 @@ class SolverService:
             # Single-flight: if another thread is already solving this
             # canonical form, wait for its memo store instead of racing it.
             with self._inflight_lock:
-                leader = self._inflight.get(key)
+                leader = self._inflight.get(label.key)
                 if leader is None:
-                    self._inflight[key] = threading.Event()
+                    self._inflight[label.key] = threading.Event()
                     break
             while not leader.wait(timeout=0.02):
                 if self._stop_threads.is_set():
@@ -617,10 +617,10 @@ class SolverService:
             # Leader finished (or was interrupted / got an uncacheable
             # answer): re-check the memo, solving ourselves if it's empty.
         try:
-            return self._solve_as_leader(job, request, deadline)
+            return self._solve_as_leader(job, request, label, deadline)
         finally:
             with self._inflight_lock:
-                event = self._inflight.pop(key, None)
+                event = self._inflight.pop(label.key, None)
             if event is not None:
                 event.set()
 
@@ -635,7 +635,7 @@ class SolverService:
         return response
 
     def _solve_as_leader(
-        self, job: Job, request: SolveRequest,
+        self, job: Job, request: SolveRequest, label: CanonicalLabel,
         deadline: Optional[Deadline] = None,
     ) -> Tuple[Dict[str, Any], int]:
         job_telemetry = Telemetry()
@@ -658,7 +658,7 @@ class SolverService:
             raise _JobInterrupted(job.job_id)
         self.telemetry.counter("service.solves").add()
         self.telemetry.metrics.merge(job_telemetry.metrics.snapshot())
-        self.cache.put(request.instance, result)
+        self.cache.put(request.instance, result, label=label)
         for span in job_telemetry.tracer.spans:
             self.jobs.publish(
                 job,
@@ -790,6 +790,7 @@ class SolverService:
                 "stores": stats.stores,
                 "evictions": stats.evictions,
                 "quarantined": stats.quarantined,
+                "canon_fallbacks": stats.canon_fallbacks,
                 "hit_rate": stats.hit_rate,
                 "entries": len(self.cache),
             },

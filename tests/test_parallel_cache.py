@@ -153,7 +153,9 @@ def test_unknown_results_are_never_cached():
     instance = PackingInstance(boxes, Container((5, 5, 6)))
     result = solve_opp(
         instance,
-        SolverOptions(use_bounds=False, use_heuristics=False, node_limit=10),
+        options=SolverOptions(
+            use_bounds=False, use_heuristics=False, node_limit=10
+        ),
         cache=cache,
     )
     assert result.status == "unknown"

@@ -32,7 +32,8 @@ from repro.client import (
     ReproClient,
     TransportError,
 )
-from repro.core.deadline import Deadline
+from repro.core.boxes import make_instance
+from repro.core.deadline import DEFAULT_MARGIN, Deadline
 from repro.io.backoff import BackoffPolicy
 from repro.io.serialize import opp_result_from_dict
 from repro.service.chaosproxy import ChaosProxy, Fault
@@ -244,6 +245,51 @@ class TestDeadlineOverWire:
             else:
                 assert answer == "unknown"
                 assert body["response"]["degraded"] == {"reason": "deadline", "gap": None}
+
+    def test_hostile_symmetric_design_releases_the_slot(self, tmp_path):
+        """Twenty parallel chains of identical modules take seconds to
+        label canonically even with orbit pruning.  The labeling polls the
+        request deadline, so the *server* frees the solver slot within
+        deadline + margin (seen in /v1/status with the client not waiting),
+        and the answer is exact or explicitly degraded."""
+        chains = 20
+        instance = make_instance(
+            [(2, 2, 1)] * (2 * chains),
+            (4, 4, 2),
+            [(2 * i, 2 * i + 1) for i in range(chains)],
+        )
+        deadline_ms = 500
+        with ServiceThread(tmp_path) as st:
+            start = time.monotonic()
+            status, body, _ = request_json(
+                st.port,
+                "POST",
+                "/v1/solve",
+                solve_payload(instance, deadline_ms=deadline_ms, wait=False),
+            )
+            assert status == 202
+            limit = deadline_ms / 1000.0 + DEFAULT_MARGIN
+            while True:
+                _, snapshot, _ = request_json(st.port, "GET", "/v1/status")
+                admission = snapshot["admission"]
+                released = time.monotonic() - start
+                if admission["in_flight"] == 0 and admission["running"] == 0:
+                    break
+                assert released <= limit, (
+                    f"solver slot still held {released:.2f}s after submit"
+                )
+                time.sleep(0.01)
+            assert released <= limit
+            _, job, _ = request_json(st.port, "GET", f"/v1/status/{body['job']}")
+            assert job["state"] == "done", job
+            answer = job["response"]["answer"]["status"]
+            if answer in ("sat", "unsat"):
+                assert certified(job, instance)
+            else:
+                assert answer == "unknown"
+                assert job["response"]["degraded"] == {
+                    "reason": "deadline", "gap": None,
+                }
 
     def test_malformed_deadline_is_a_structured_400(self, tmp_path):
         with ServiceThread(tmp_path) as st:
